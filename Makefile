@@ -1,5 +1,5 @@
 # Local entry points matching the CI pipeline (.github/workflows/ci.yml):
-# `make lint build race cover fuzz-smoke scenarios bench-smoke bench-check`
+# `make lint build race stress cover fuzz-smoke scenarios bench-smoke bench-check`
 # is exactly what a PR must pass.
 
 GO ?= go
@@ -18,7 +18,7 @@ COVER_MIN  = 80
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all build test race bench bench-smoke bench-json bench-rpc-json bench-check swapd-smoke chaos-smoke atlas-smoke pprof-smoke lint cover fuzz-smoke scenarios figures clean
+.PHONY: all build test race stress bench bench-smoke bench-json bench-rpc-json bench-check swapd-smoke chaos-smoke atlas-smoke pprof-smoke lint cover fuzz-smoke scenarios figures clean
 
 all: lint build test
 
@@ -32,6 +32,15 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Ordering stress: the packages with concurrent lifecycles (streams,
+# drain, single-flight, sweeps, shared stores and fault counters) re-run
+# 20 times at 1, 2 and 4 CPUs under the race detector, so a test that
+# assumes one goroutine runs before another fails here, not at random.
+STRESS_PKGS = ./internal/rpc ./internal/sweep ./internal/mc \
+	./internal/solvecache ./internal/store ./internal/fault
+stress:
+	$(GO) test -race -count=20 -cpu=1,2,4 $(STRESS_PKGS)
 
 # Full benchmark run (slow): every paper artifact plus the ablations.
 bench:

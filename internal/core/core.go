@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/mathx"
@@ -177,6 +178,11 @@ type solveMemo struct {
 	optimal  memo.Map[rangeKind, optResult]        // OptimalRate
 	uncertSR memo.Map[solveKey, float64]           // Uncertain.SuccessRate(a, budget)
 	excessT1 memo.Map[solveKey, float64]           // Uncertain.aliceExcessT1(a, budget)
+
+	// lockW is B's scale-free best response W* of §IV.B, shared by every
+	// (a, budget, price) of the Model (see Model.bestLockW).
+	lockWOnce sync.Once
+	lockW     float64
 }
 
 // MemoStats reports the Model's cumulative solve-cache hits and misses

@@ -62,12 +62,9 @@ func (u *Uncertain) CutoffT3(xLock, aLock float64) (float64, error) {
 }
 
 // xEval bundles the parts of the §IV.B stage utilities that are constant
-// across B's response search at one t2 price: the unscaled cut-off, A's
-// refund, and the transition law out of y. The best-response optimisation
-// (Eq. 44) evaluates Eq. 43 at ~160 candidate amounts per price point;
-// before the hoist each evaluation rebuilt the transition and the cut-off
-// from scratch. Every field stores the bit-exact value of the
-// subexpression it replaces.
+// across B's response at one t2 price: the unscaled cut-off, A's refund,
+// and the transition law out of y. Every field stores the bit-exact value
+// of the subexpression it replaces.
 type xEval struct {
 	u     *Uncertain
 	aLock float64
@@ -119,28 +116,96 @@ func (e *xEval) bobT2(xLock float64) float64 {
 	return m.k.discBTauB*gross - xLock*e.y
 }
 
+// lockRange returns the interval [lo, hi] of amounts B considers at this
+// price point. Beyond X ≈ 50·P̄_t3/y the success probability has saturated
+// and the marginal locked token is pure loss; below lo = hi·e⁻²⁵ the
+// utility is O(X) small. The budget caps the range when finite.
+func (e *xEval) lockRange() (lo, hi float64) {
+	hi = 50*e.pbar0/e.y + 10
+	if hi > 1e9 {
+		hi = 1e9
+	}
+	if hi > e.u.budget {
+		hi = e.u.budget
+	}
+	return math.Exp(math.Log(hi) - 25), hi
+}
+
 // optimal solves Eq. 44 at this price point: X*(P_t2) = argmax_{X≥0}
-// U^B_t2,x(X). The search runs over log X — the objective's scale is set by
-// P̄_t3/y, which spans orders of magnitude across the P_t2 axis of
-// Fig. 10a — and X = 0 is compared explicitly (B locks nothing and
-// effectively stops).
+// U^B_t2,x(X). Eq. 43 is a·G(W) in the scale-free amount W = X·y/P̄_t3,
+// and G has at most one interior local maximum W* (see bestLockW), so the
+// maximum over the lock range is at one of its ends or at W* clamped into
+// it. X = 0 is compared explicitly (B locks nothing and effectively stops).
 func (e *xEval) optimal() (xStar, val float64) {
-	// Beyond X ≈ 50·P̄_t3/y the success probability has saturated and the
-	// marginal locked token is pure loss; below the grid floor the utility
-	// is O(X) small. The budget caps the search when finite.
-	xMax := 50*e.pbar0/e.y + 10
-	if xMax > 1e9 {
-		xMax = 1e9
+	lo, hi := e.lockRange()
+	interior := mathx.Clamp(e.u.m.bestLockW()*e.pbar0/e.y, lo, hi)
+	xStar, val = lo, e.bobT2(lo)
+	for _, x := range [2]float64{interior, hi} {
+		if v := e.bobT2(x); v > val {
+			xStar, val = x, v
+		}
 	}
-	if xMax > e.u.budget {
-		xMax = e.u.budget
-	}
-	obj := func(lx float64) float64 { return e.bobT2(math.Exp(lx)) }
-	lArg, lVal := mathx.GridMax(obj, math.Log(xMax)-25, math.Log(xMax), 160, 1e-10)
-	if lVal <= 0 {
+	if val <= 0 {
 		return 0, 0
 	}
-	return math.Exp(lArg), lVal
+	return xStar, val
+}
+
+// bestLockW returns W*, the interior local maximum of B's scale-free t2
+// objective G, or 0 when G has none. It depends on the parameters alone —
+// not on a, y or B's budget — so it is solved once per Model.
+func (m *Model) bestLockW() float64 {
+	m.solve.lockWOnce.Do(func() { m.solve.lockW = m.solveBestLockW() })
+	return m.solve.lockW
+}
+
+// solveBestLockW finds W* from G′. With Z = P_t3/P_t2 ~ LogNormal(d, s²)
+// (d = drift over τb, s = σ√τb), P̄_t3 = c·a and W = X·y/P̄_t3, Eq. 43 is
+//
+//	U^B_t2,x = a·G(W),  G(W) = A·Φ(v−s) + B·W·Φ(−v) − c·W,
+//	v = (ln W + d)/s + s,  A = e^{−rB τb}(1+αB)·e^{−rB(εb+τa)},
+//	B = c·e^{−rB τb}·e^{2(µ−rB)τb}·E[Z],
+//
+// whose derivative is G′ = c₁φ(v) + c₂Φ(−v) − κ with c₁ = (A·E[Z] − B)/s,
+// c₂ = B and κ = c. Since dG′/dv = −φ(v)(c₁v + c₂) changes sign at most
+// once, G′ is unimodal in v and a root where G′ falls — the only kind that
+// is a maximum of G — lies on the branch c₁v + c₂ > 0. The root is
+// bisected there to full precision. Outside |v| ≤ 50, φ underflows and G′
+// is constant, so the branch is clipped to that window. See DESIGN.md,
+// "B's best response in closed form".
+func (m *Model) solveBestLockW() float64 {
+	d, s := m.k.driftTauB, m.k.sigTauB
+	c := m.cutoffT3(1, 0)
+	meanZ := math.Exp(d + s*s/2)
+	coefA := m.k.discBTauB * (1 + m.params.Bob.Alpha) * m.k.bankB
+	c2 := c * m.k.discBTauB * m.k.growth2B * meanZ
+	c1 := (coefA*meanZ - c2) / s
+	dG := func(v float64) float64 {
+		return c1*math.Exp(-v*v/2)/math.Sqrt(2*math.Pi) + c2*0.5*math.Erfc(v/math.Sqrt2) - c
+	}
+	const vWindow = 50.0
+	lo, hi := -vWindow, vWindow
+	switch {
+	case c1 > 0:
+		lo = math.Max(lo, -c2/c1)
+	case c1 < 0:
+		hi = math.Min(hi, -c2/c1)
+	}
+	if !(lo < hi && dG(lo) > 0 && dG(hi) < 0) {
+		return 0
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			break
+		}
+		if dG(mid) > 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Exp((lo+hi)/2*s - s*s - d)
 }
 
 // AliceUtilityT2 evaluates Eq. 42 with argument checks.

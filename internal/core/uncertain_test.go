@@ -134,22 +134,27 @@ func TestUncertainHomogeneity(t *testing.T) {
 }
 
 func TestUncertainSuccessRateScaleInvariant(t *testing.T) {
-	// Under the unconstrained best response, SR_x does not depend on a.
+	// Under the unconstrained best response, SR_x does not depend on a:
+	// Eq. 43's homogeneity puts every amount's X* at one scale-free W*, so
+	// across Fig. 11's grid the rates agree to rounding.
 	m := newDefaultModel(t)
 	u := m.Uncertain()
-	sr1, err := u.SuccessRate(1)
+	ref, err := u.SuccessRate(0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr4, err := u.SuccessRate(4)
-	if err != nil {
-		t.Fatal(err)
+	if ref <= 0 || ref >= 1 {
+		t.Errorf("SR_x = %v, want in (0,1)", ref)
 	}
-	if !almostEqual(sr1, sr4, 1e-3) {
-		t.Errorf("SR_x(1) = %v != SR_x(4) = %v; expected scale invariance", sr1, sr4)
-	}
-	if sr1 <= 0 || sr1 >= 1 {
-		t.Errorf("SR_x = %v, want in (0,1)", sr1)
+	for i := 2; i <= 32; i++ {
+		a := 0.25 * float64(i)
+		sr, err := u.SuccessRate(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(sr-ref) > 1e-15 {
+			t.Errorf("SR_x(%g) = %.17g != SR_x(0.25) = %.17g; expected scale invariance", a, sr, ref)
+		}
 	}
 }
 

@@ -147,6 +147,9 @@ type Progress struct {
 	// Stopped reports that the adaptive criterion fired at this snapshot
 	// (always false in fixed-N mode).
 	Stopped bool
+	// Final reports that this is the run's last snapshot: the stopper
+	// fired or the path cap is reached.
+	Final bool
 }
 
 // HalfWidth returns the 95% half-width the adaptive stopper uses: the
@@ -407,6 +410,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 				cfg.OnProgress(Progress{
 					Paths: res.Paths, Successes: res.Successes, Chunks: res.Chunks,
 					SuccessRate: prop, Sampler: mode, EstHalfWidth: hw, Stopped: res.Stopped,
+					Final: res.Stopped || res.Chunks == numChunks,
 				})
 			}
 			if res.Stopped {

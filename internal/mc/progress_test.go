@@ -42,6 +42,9 @@ func TestProgressSnapshotsDeterministic(t *testing.T) {
 		if s.Stopped {
 			t.Errorf("snapshot %d: Stopped in fixed-N mode", i)
 		}
+		if s.Final != (i == len(snaps1)-1) {
+			t.Errorf("snapshot %d of %d: Final = %v", i, len(snaps1), s.Final)
+		}
 		if s.HalfWidth() <= 0 {
 			t.Errorf("snapshot %d: half-width = %g, want > 0", i, s.HalfWidth())
 		}
@@ -76,8 +79,8 @@ func TestProgressDoesNotPerturbResult(t *testing.T) {
 		}
 		hooked := base
 		var calls int
-		var lastStopped bool
-		hooked.OnProgress = func(p mc.Progress) { calls++; lastStopped = p.Stopped }
+		var lastStopped, lastFinal bool
+		hooked.OnProgress = func(p mc.Progress) { calls++; lastStopped, lastFinal = p.Stopped, p.Final }
 		withHook, err := mc.Run(context.Background(), hooked)
 		if err != nil {
 			t.Fatalf("Run(ci=%g, hook): %v", ci, err)
@@ -90,6 +93,9 @@ func TestProgressDoesNotPerturbResult(t *testing.T) {
 		}
 		if lastStopped != withHook.Stopped {
 			t.Errorf("ci=%g: last snapshot Stopped = %v, result %v", ci, lastStopped, withHook.Stopped)
+		}
+		if !lastFinal {
+			t.Errorf("ci=%g: last snapshot not marked Final", ci)
 		}
 	}
 }

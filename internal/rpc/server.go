@@ -146,7 +146,7 @@ type Server struct {
 
 	// stream runs one simulate stream body; a test seam, defaulting to
 	// runStream.
-	stream func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig)
+	stream func(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response
 
 	// adm is the admission controller in front of the expensive methods.
 	adm *admission

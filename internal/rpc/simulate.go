@@ -282,8 +282,15 @@ func (s *Server) startStream(sess *wsSession, req Request) {
 		}
 	}()
 	go func() {
-		defer func() {
-			close(streamDone)
+		defer close(streamDone)
+		resp := s.guardedStream(ctx, cancel, sess, req.ID, cfg)
+		// The stream's one teardown runs under the connection's write lock,
+		// before the terminal frame goes out: a client that has read the
+		// terminal frame finds the stream deregistered (swap.cancel reports
+		// canceled:false), not counted in swapd.stats, and its admission
+		// slot free. Holding the lock also keeps Shutdown, which closes the
+		// connection once inflight drains, from cutting the frame off.
+		conn.WriteJSONAfter(resp, func() {
 			sess.mu.Lock()
 			delete(sess.streams, id)
 			sess.mu.Unlock()
@@ -291,19 +298,22 @@ func (s *Server) startStream(sess *wsSession, req Request) {
 			s.adm.release()
 			s.stats.streamsActive.Add(-1)
 			s.inflight.Done()
-		}()
-		// Panic isolation: a stream panic becomes its terminal error
-		// response, never a dead daemon.
-		defer func() {
-			if r := recover(); r != nil {
-				s.stats.panics.Add(1)
-				s.cfg.Logf("rpc: stream %s panicked (recovered): %v", id, r)
-				conn.WriteJSON(NewErrorResponse(req.ID,
-					Errorf(CodeInternalError, "internal error: stream panicked")))
-			}
-		}()
-		s.stream(ctx, cancel, sess, req.ID, cfg)
+		})
 	}()
+}
+
+// guardedStream runs one stream body and returns its terminal response.
+// Panic isolation: a stream panic becomes its terminal error response,
+// never a dead daemon.
+func (s *Server) guardedStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) (resp Response) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.stats.panics.Add(1)
+			s.cfg.Logf("rpc: stream %s panicked (recovered): %v", id, r)
+			resp = NewErrorResponse(id, Errorf(CodeInternalError, "internal error: stream panicked"))
+		}
+	}()
+	return s.stream(ctx, cancel, sess, id, cfg)
 }
 
 // simulateConfig is a resolved swap.simulate request.
@@ -384,18 +394,20 @@ func (s *Server) resolveSimulate(p SimulateParams) (simulateConfig, *Error) {
 }
 
 // runStream executes one simulate stream: progress notifications while
-// the engine runs, then the terminal response (result, budget error, or
-// cancellation). cancel aborts the engine when the peer stops reading: a
-// progress write that fails or times out cancels the stream instead of
-// blocking the Monte Carlo engine behind a dead connection.
-func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) {
+// the engine runs, always including the final merged chunk's, then it
+// returns the terminal response (result, budget error, or cancellation)
+// for the caller to send after teardown. cancel aborts the engine when
+// the peer stops reading: a progress write that fails or times out
+// cancels the stream instead of blocking the Monte Carlo engine behind a
+// dead connection.
+func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess *wsSession, id json.RawMessage, cfg simulateConfig) Response {
 	start := time.Now()
 	conn := sess.conn
 	snapshots := 0
 	lastSent := 0
 	writeFailed := false
 	cfg.mcc.OnProgress = func(p mc.Progress) {
-		if writeFailed || (p.Paths-lastSent < cfg.everyPaths && !p.Stopped) {
+		if writeFailed || (p.Paths-lastSent < cfg.everyPaths && !p.Final) {
 			return
 		}
 		lastSent = p.Paths
@@ -422,8 +434,7 @@ func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess 
 	res, err := swapsim.MonteCarloCtx(ctx, cfg.mcc)
 	if err != nil {
 		s.stats.errors.Add(1)
-		conn.WriteJSON(NewErrorResponse(id, s.asRPCError(err)))
-		return
+		return NewErrorResponse(id, s.asRPCError(err))
 	}
 	stages := make(map[string]int, len(res.Stages))
 	for stage, n := range res.Stages {
@@ -440,5 +451,5 @@ func (s *Server) runStream(ctx context.Context, cancel context.CancelFunc, sess 
 		out.Sampler = string(res.Sampler)
 		out.EstHalfWidth = res.EstHalfWidth
 	}
-	conn.WriteJSON(NewResponse(id, out))
+	return NewResponse(id, out)
 }

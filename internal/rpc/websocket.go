@@ -258,6 +258,24 @@ func (c *WSConn) WriteJSON(v any) error {
 	return c.WriteMessage(data)
 }
 
+// WriteJSONAfter runs first under the connection's write lock and then
+// sends v as one JSON text message, so no frame, v included, can reach
+// the peer before first has returned. first runs even when the
+// connection is closed; it must not write to the connection.
+func (c *WSConn) WriteJSONAfter(v any, first func()) error {
+	data, err := json.Marshal(v)
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	first()
+	if err != nil {
+		return fmt.Errorf("rpc: websocket: encoding: %w", err)
+	}
+	if c.closed {
+		return ErrWSClosed
+	}
+	return c.writeFrameLocked(opText, data)
+}
+
 // Close sends a close frame (best-effort) and closes the connection.
 func (c *WSConn) Close() error {
 	c.wmu.Lock()

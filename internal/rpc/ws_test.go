@@ -83,12 +83,13 @@ func TestWSSolve(t *testing.T) {
 }
 
 // TestWSSimulateStream runs a full stream: progress notifications with
-// monotonically growing merged prefixes, then the terminal response.
+// monotonically growing merged prefixes, the last at the full run count
+// even where the throttle would skip it, then the terminal response.
 func TestWSSimulateStream(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	conn := dialTest(t, ts.URL)
 	if err := conn.WriteMessage([]byte(rpcCall(7, "swap.simulate",
-		`{"scenario":"tableIII","runs":2000,"chunk":250,"everyPaths":250,"budgetMs":30000}`))); err != nil {
+		`{"scenario":"tableIII","runs":2000,"chunk":250,"everyPaths":600,"budgetMs":30000}`))); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	var (
@@ -130,8 +131,10 @@ func TestWSSimulateStream(t *testing.T) {
 		lastPaths = ev.Paths
 		snapshots++
 	}
-	if snapshots < 4 {
-		t.Errorf("snapshots = %d, want >= 4 (2000 paths / 250 everyPaths)", snapshots)
+	// Chunks merge at 250, 500, …, 2000; a 600-path throttle sends 750
+	// and 1500, and the final chunk's snapshot always goes out.
+	if snapshots != 3 || lastPaths != 2000 {
+		t.Errorf("snapshots = %d ending at %d paths, want 3 ending at 2000", snapshots, lastPaths)
 	}
 	if final.Paths != 2000 || final.Scenario != "tableIII" || final.Variant != "basic" {
 		t.Errorf("final = %+v", final)
@@ -144,6 +147,53 @@ func TestWSSimulateStream(t *testing.T) {
 	}
 	if n := s.stats.streamsActive.Load(); n != 0 {
 		t.Errorf("active streams after completion = %d", n)
+	}
+}
+
+// TestWSStreamGoneAtTerminalFrame pins the teardown ordering: once a
+// client has read a stream's terminal frame, the stream is gone — a
+// swap.cancel sent right after it reports canceled:false, and swapd.stats
+// counts no active stream.
+func TestWSStreamGoneAtTerminalFrame(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	conn := dialTest(t, ts.URL)
+	for i := 0; i < 10; i++ {
+		id := 100 + 3*i
+		if err := conn.WriteMessage([]byte(rpcCall(id, "swap.simulate",
+			`{"scenario":"tableIII","runs":300,"chunk":100,"budgetMs":30000}`))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		for !readMsg(t, conn).isResponse() { // skip progress frames
+		}
+		if err := conn.WriteMessage([]byte(rpcCall(id+1, "swap.cancel", fmt.Sprintf(`{"id":%d}`, id)))); err != nil {
+			t.Fatalf("write cancel: %v", err)
+		}
+		if err := conn.WriteMessage([]byte(rpcCall(id+2, "swapd.stats", ""))); err != nil {
+			t.Fatalf("write stats: %v", err)
+		}
+		for seen := 0; seen < 2; seen++ {
+			m := readMsg(t, conn)
+			switch string(m.ID) {
+			case fmt.Sprint(id + 1):
+				var ack struct {
+					Canceled bool `json:"canceled"`
+				}
+				if err := json.Unmarshal(m.Result, &ack); err != nil || ack.Canceled {
+					t.Fatalf("stream %d: cancel after terminal frame = %+v (%v), want canceled:false", id, m, err)
+				}
+			case fmt.Sprint(id + 2):
+				var st struct {
+					Streams struct {
+						Active int64 `json:"active"`
+					} `json:"streams"`
+				}
+				if err := json.Unmarshal(m.Result, &st); err != nil || st.Streams.Active != 0 {
+					t.Fatalf("stream %d: stats after terminal frame = %s (%v), want 0 active streams", id, m.Result, err)
+				}
+			default:
+				t.Fatalf("unexpected frame %+v", m)
+			}
+		}
 	}
 }
 

@@ -65,13 +65,15 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	)
 	// record keeps only the lowest-indexed task error, so a cancellation
 	// observed by another worker can never shadow the failure that caused it.
+	// Its caller cancels the remaining tasks first: formatting the error
+	// allocates and can stall the worker in a GC assist, and the others
+	// must not go on claiming tasks meanwhile.
 	record := func(i int, err error) {
 		mu.Lock()
 		if errIdx == -1 || i < errIdx {
 			errIdx, firstEr = i, err
 		}
 		mu.Unlock()
-		cancel()
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -87,6 +89,7 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 				}
 				res, err := fn(i)
 				if err != nil {
+					cancel()
 					record(i, fmt.Errorf("sweep: task %d: %w", i, err))
 					return
 				}
@@ -147,13 +150,14 @@ func MapTiles[T any](ctx context.Context, n, workers, tile int, fn func(lo, hi i
 		firstEr error
 		wg      sync.WaitGroup
 	)
+	// record keeps the lowest-indexed tile error; as in Map, its caller
+	// cancels the remaining tiles first.
 	record := func(lo int, err error) {
 		mu.Lock()
 		if errIdx == -1 || lo < errIdx {
 			errIdx, firstEr = lo, err
 		}
 		mu.Unlock()
-		cancel()
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -174,6 +178,7 @@ func MapTiles[T any](ctx context.Context, n, workers, tile int, fn func(lo, hi i
 				}
 				// Full-slice expression: fn cannot append past its tile.
 				if err := fn(lo, hi, results[lo:hi:hi]); err != nil {
+					cancel()
 					record(lo, fmt.Errorf("sweep: tile [%d,%d): %w", lo, hi, err))
 					return
 				}

@@ -215,12 +215,19 @@ func TestMapTilesReportsLowestTileError(t *testing.T) {
 }
 
 func TestMapTilesErrorCancelsRemainingTiles(t *testing.T) {
+	// Tile 0 is always claimed first, but on a busy machine the other
+	// workers could drain every tile before its goroutine runs. Holding
+	// the non-zero tiles until tile 0 has returned its error makes the
+	// cancellation race-free.
 	var calls atomic.Int64
+	tile0Done := make(chan struct{})
 	_, err := MapTiles(context.Background(), 100000, 4, 1, func(lo, hi int, out []int) error {
 		calls.Add(1)
 		if lo == 0 {
+			defer close(tile0Done)
 			return errors.New("early failure")
 		}
+		<-tile0Done
 		return nil
 	})
 	if err == nil {
